@@ -12,18 +12,20 @@
 #                     the benchmark roster change — fresh samples go to the
 #                     untracked BENCH_hotpath.latest.json)
 #   make bench-smoke  quick end-to-end check of the benchmark harness
-#   make bench-gate   validate gates.*.passed in the committed
+#   make bench-gate   check the gate verdicts in the committed
 #                     BENCH_hotpath.json without running benchmarks
+#                     (lists skipped gates; fails on a measured miss)
 #   make test-corpus  replay the committed fuzz reproducers in
-#                     tests/corpus (also part of test-fast; named target
-#                     for the PR-blocking CI step)
+#                     tests/corpus (a subset of test-fast, for local use)
+#   make test-recovery the recovery lane: partition catch-up,
+#                     crash-recovery, retry/backoff (a subset of test-fast)
 #   make test-workload the workload-engine lane: open-loop determinism,
 #                     txpool backpressure, SLO metrics, Prometheus
-#                     fallback (also part of test-fast; named CI lane)
+#                     fallback (a subset of test-fast)
 #   make test-impairments the lossy-medium lane: wire impairment model,
 #                     reliable-delivery sublayer, loss-budget liveness,
-#                     impaired-run determinism (also part of test-fast;
-#                     named CI lane — see docs/impairments.md)
+#                     impaired-run determinism (a subset of test-fast —
+#                     see docs/impairments.md)
 #   make fuzz         a short local fuzz campaign (SEED=n ITERATIONS=n to
 #                     override; see docs/fuzzing.md)
 #   make lint         ruff over src/tests/examples (critical rules plus

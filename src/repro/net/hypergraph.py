@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,14 @@ class Hypergraph:
         return True
 
     def to_digraph(self, exclude: Optional[Iterable[int]] = None) -> nx.DiGraph:
-        """Flatten to a directed graph on nodes (hyper-edges become stars)."""
+        """Flatten to a networkx directed graph (hyper-edges become stars).
+
+        networkx is imported here rather than at module level: the
+        connectivity and diameter queries below run on plain index lists,
+        so a deployment never pays for loading it.
+        """
+        import networkx as nx
+
         skip = set(exclude or ())
         graph = nx.DiGraph()
         graph.add_nodes_from(n for n in self.nodes if n not in skip)
@@ -219,21 +227,96 @@ class Hypergraph:
                     graph.add_edge(edge.sender, receiver)
         return graph
 
+    def _adjacency(
+        self, exclude: Optional[Iterable[int]] = None
+    ) -> Tuple[List[int], List[List[int]]]:
+        """The surviving nodes and their distinct out-neighbours by position.
+
+        Hyper-edges flatten to stars: ``adjacency[i]`` lists the positions
+        in ``nodes`` of every surviving receiver of the surviving node at
+        position ``i``.
+        """
+        skip = set(exclude or ())
+        nodes = [node for node in self.nodes if node not in skip]
+        position = {node: i for i, node in enumerate(nodes)}
+        rows: List[Dict[int, None]] = [{} for _ in nodes]
+        for edge in self.edges:
+            i = position.get(edge.sender)
+            if i is None:
+                continue
+            row = rows[i]
+            for receiver in edge.receivers_sorted:
+                j = position.get(receiver)
+                if j is not None:
+                    row[j] = None
+        return nodes, [list(row) for row in rows]
+
     def is_strongly_connected(self, exclude: Optional[Iterable[int]] = None) -> bool:
-        """Whether the surviving nodes form a strongly connected digraph."""
-        graph = self.to_digraph(exclude=exclude)
-        if graph.number_of_nodes() <= 1:
+        """Whether the surviving nodes form a strongly connected digraph.
+
+        One forward and one reverse BFS from the first surviving node: the
+        digraph is strongly connected iff that node reaches every node and
+        every node reaches it.
+        """
+        _, adjacency = self._adjacency(exclude)
+        if len(adjacency) <= 1:
             return True
-        return nx.is_strongly_connected(graph)
+        if _eccentricity(adjacency, 0) is None:
+            return False
+        reverse: List[List[int]] = [[] for _ in adjacency]
+        for i, row in enumerate(adjacency):
+            for j in row:
+                reverse[j].append(i)
+        return _eccentricity(reverse, 0) is not None
+
+    def _is_rotation_invariant(self) -> bool:
+        """Whether ``i -> i+1 mod n`` is an automorphism of the flattened digraph.
+
+        True iff the node ids are exactly ``range(n)`` and every node has
+        the same set of receiver offsets ``(receiver - sender) mod n`` over
+        its out-edges — the ring k-cast, unicast ring and fully connected
+        builders, but not the star or random k-casts.
+        """
+        n = len(self.nodes)
+        if n == 0 or sorted(self.nodes) != list(range(n)):
+            return False
+        offsets: Dict[int, Set[int]] = {node: set() for node in self.nodes}
+        for edge in self.edges:
+            sender = edge.sender
+            offsets[sender].update((receiver - sender) % n for receiver in edge.receivers)
+        reference = offsets[0]
+        return all(row == reference for row in offsets.values())
 
     def diameter(self) -> int:
-        """Longest shortest-path length between any two nodes (hop count)."""
-        graph = self.to_digraph()
-        if graph.number_of_nodes() <= 1:
+        """Longest shortest-path length between any two nodes (hop count).
+
+        The diameter is the largest BFS eccentricity over all sources.  When
+        :meth:`_is_rotation_invariant` holds — node ids are ``range(n)`` and
+        every node has the same set of ``(receiver - sender) mod n``
+        offsets — the rotation ``i -> i+1 mod n`` maps the flattened digraph
+        onto itself.  An automorphism preserves hop distances, so node
+        ``v``'s eccentricity equals node 0's (rotate by ``v``), and if node
+        0 reaches every node so does every other node.  One BFS from node 0
+        then yields both strong connectivity and the exact diameter; every
+        other graph takes the BFS from every source.
+
+        Raises:
+            ValueError: if the hypergraph is not strongly connected.
+        """
+        nodes, adjacency = self._adjacency()
+        if len(nodes) <= 1:
             return 0
-        if not nx.is_strongly_connected(graph):
-            raise ValueError("diameter undefined: hypergraph is not strongly connected")
-        return nx.diameter(graph)
+        if self._is_rotation_invariant():
+            sources: Iterable[int] = (nodes.index(0),)
+        else:
+            sources = range(len(nodes))
+        diameter = 0
+        for source in sources:
+            eccentricity = _eccentricity(adjacency, source)
+            if eccentricity is None:
+                raise ValueError("diameter undefined: hypergraph is not strongly connected")
+            diameter = max(diameter, eccentricity)
+        return diameter
 
     # ------------------------------------------------------- fault tolerance
     def max_faults_necessary_condition(self) -> int:
@@ -275,5 +358,31 @@ class Hypergraph:
                 if not self.is_strongly_connected(exclude=removed):
                     return False
             return True
-        graph = self.to_digraph()
-        return nx.node_connectivity(graph) > f
+        import networkx as nx
+
+        return nx.node_connectivity(self.to_digraph()) > f
+
+
+def _eccentricity(adjacency: List[List[int]], source: int) -> Optional[int]:
+    """Hop distance from ``source`` to its farthest node, by level-order BFS.
+
+    Stops as soon as every node has been reached; ``None`` if some node is
+    unreachable from ``source``.
+    """
+    total = len(adjacency)
+    seen = bytearray(total)
+    seen[source] = 1
+    reached = 1
+    frontier = [source]
+    depth = 0
+    while frontier and reached < total:
+        depth += 1
+        next_frontier = []
+        for node in frontier:
+            for neighbour in adjacency[node]:
+                if not seen[neighbour]:
+                    seen[neighbour] = 1
+                    next_frontier.append(neighbour)
+        reached += len(next_frontier)
+        frontier = next_frontier
+    return depth if reached == total else None

@@ -17,7 +17,7 @@ It emulates the paper's CPS deployment:
 * deliveries respect bounded synchrony: with per-hop delay at most
   ``hop_delay`` the end-to-end delay after flooding is bounded by
   ``diameter * hop_delay``, and experiments choose the protocol Δ above
-  that bound (see :meth:`SimulatedNetwork.recommended_delta`);
+  that bound (see :func:`repro.session.builder.compute_delta`);
 * Byzantine nodes may silently refuse to relay (their relay policy is
   pluggable), which is exactly the partitioning threat the hypergraph fault
   bound (Appendix A) protects against.
@@ -441,11 +441,6 @@ class SimulatedNetwork:
         if not self.jitter:
             return self.hop_delay
         return self.hop_delay * self.rng.uniform(0.5, 1.0)
-
-    def recommended_delta(self, safety_factor: float = 2.0) -> float:
-        """A Δ that upper-bounds flooding delivery time on this topology."""
-        diameter = self.hypergraph.diameter()
-        return max(1, diameter) * self.hop_delay * safety_factor
 
     # ------------------------------------------------------------ broadcast
     def broadcast(self, origin: int, message: Any) -> int:

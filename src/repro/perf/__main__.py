@@ -7,15 +7,17 @@ import json
 import sys
 from pathlib import Path
 
-from repro.perf.report import run_hotpath_suite
+from repro.perf.report import gate_status, run_hotpath_suite
 
 
 def check_gates(path: Path) -> int:
-    """Validate ``gates.*.passed`` in an existing report; 0 iff all pass.
+    """Validate the gate verdicts in an existing report; 0 iff none failed.
 
     CI's ``bench-gate`` step runs this against the committed
     ``BENCH_hotpath.json`` so a regressed (or hand-edited) perf trajectory
-    fails the build without re-running the full benchmark suite.
+    fails the build without re-running the full benchmark suite.  Gates
+    that did not measure on the recording host are listed by name as
+    skipped; only gates that measured and missed their floor fail.
     """
     try:
         payload = json.loads(path.read_text())
@@ -29,17 +31,24 @@ def check_gates(path: Path) -> int:
     if not gates:
         print(f"gate check: {path} has no gates section")
         return 1
-    failed = []
+    outcomes: dict[str, list[str]] = {"passed": [], "failed": [], "skipped": []}
     for name, verdict in sorted(gates.items()):
-        ok = bool(verdict.get("passed"))
-        floor = verdict.get("floor", "?")
-        print(f"  gate {name}: floor {floor}x: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failed.append(name)
-    if failed:
-        print(f"gate check: {len(failed)} gate(s) failing: {', '.join(failed)}")
+        status = gate_status(verdict)
+        outcomes[status].append(name)
+        reason = f" ({verdict['reason']})" if status == "skipped" else ""
+        print(f"  gate {name}: floor {verdict.get('floor', '?')}: {status.upper()}{reason}")
+    if outcomes["skipped"]:
+        print(
+            f"gate check: {len(outcomes['skipped'])} gate(s) skipped (not measured): "
+            f"{', '.join(outcomes['skipped'])}"
+        )
+    if outcomes["failed"]:
+        print(
+            f"gate check: {len(outcomes['failed'])} gate(s) failing: "
+            f"{', '.join(outcomes['failed'])}"
+        )
         return 1
-    print("gate check: all gates pass")
+    print("gate check: all measured gates pass")
     return 0
 
 
@@ -90,12 +99,13 @@ def main(argv: list[str] | None = None) -> int:
         for name, verdict in sorted(gates.items()):
             entry = report.entry(name)
             actual = f"{entry.speedup:.2f}x" if entry is not None else "n/a"
-            note = f" ({verdict['note']})" if "note" in verdict else ""
+            note = verdict.get("reason", verdict.get("note"))
+            note = f" ({note})" if note else ""
             print(
                 f"  gate {name}: floor {verdict['floor']:.1f}, "
-                f"actual {actual}: {'PASS' if verdict['passed'] else 'FAIL'}{note}"
+                f"actual {actual}: {gate_status(verdict).upper()}{note}"
             )
-        if not all(verdict["passed"] for verdict in gates.values()):
+        if any(gate_status(verdict) == "failed" for verdict in gates.values()):
             return 1
     return 0
 

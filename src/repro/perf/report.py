@@ -117,15 +117,14 @@ class BenchReport:
         return None
 
     def gates_detail(self) -> Dict[str, Dict[str, Any]]:
-        """Per-gate verdicts: ``{name: {floor, passed[, note]}}``.
+        """Per-gate verdicts: ``{name: {floor, passed[, note]}}`` or a skip.
 
         ``matrix_wall_clock`` compares serial against process-pool-sharded
         execution, which only measures anything when the host can schedule
         the workers concurrently: on a host with fewer usable cores than
-        the benchmark's ``parallel``, the gate is recorded as passed with
-        an explanatory note (the sharding skip-with-reason), never as a
-        regression — and never as a fraudulent speedup either, because the
-        measured ratio is still in the entry.
+        the benchmark's ``parallel``, the gate did not measure and is
+        recorded as ``{floor, skipped: True, reason}`` — neither passed nor
+        failed.  The measured ratio is still in the entry.
         """
         verdicts: Dict[str, Dict[str, Any]] = {}
         for name, floor in SPEEDUP_GATES.items():
@@ -138,8 +137,8 @@ class BenchReport:
                 cpus = int(entry.params.get("cpus", 0) or 0)
                 workers = int(entry.params.get("parallel", 1) or 1)
                 if cpus < workers:
-                    verdict["passed"] = True
-                    verdict["note"] = (
+                    verdict["skipped"] = True
+                    verdict["reason"] = (
                         f"not measurable: host has {cpus} usable core(s), "
                         f"sharding gate needs >= {workers}"
                     )
@@ -166,8 +165,12 @@ class BenchReport:
         return verdicts
 
     def gates_passed(self) -> Dict[str, bool]:
-        """Whether every gated benchmark meets its speedup floor."""
-        return {name: detail["passed"] for name, detail in self.gates_detail().items()}
+        """Whether each measured gate meets its floor (skipped gates are left out)."""
+        return {
+            name: detail["passed"]
+            for name, detail in self.gates_detail().items()
+            if gate_status(detail) != "skipped"
+        }
 
     def to_dict(self) -> Dict[str, Any]:
         detail = self.gates_detail()
@@ -227,13 +230,24 @@ class BenchReport:
         return path
 
 
+def gate_status(verdict: Dict[str, Any]) -> str:
+    """``"passed"``, ``"failed"`` or ``"skipped"`` for one recorded gate verdict.
+
+    A skip only counts as one when it states its reason; a verdict with
+    neither a reasoned skip nor ``passed: true`` is a failure.
+    """
+    if verdict.get("skipped") is True and verdict.get("reason"):
+        return "skipped"
+    return "passed" if verdict.get("passed") is True else "failed"
+
+
 def _stable_signature(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Gate verdicts plus the benchmark roster of a report payload.
 
     Host-dependent data is excluded on both sides of the comparison: the
-    recorded core count (``params.cpus``) and the free-text gate notes
-    that embed it would otherwise dirty the tracked file whenever a
-    different machine reruns an unchanged tree.
+    recorded core count (``params.cpus``) and the free-text gate notes and
+    skip reasons that embed it would otherwise dirty the tracked file
+    whenever a different machine reruns an unchanged tree.
     """
 
     def stable_params(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -242,7 +256,9 @@ def _stable_signature(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "report": payload.get("report"),
         "gates": {
-            name: {key: value for key, value in verdict.items() if key != "note"}
+            name: {
+                key: value for key, value in verdict.items() if key not in ("note", "reason")
+            }
             for name, verdict in (payload.get("gates") or {}).items()
         },
         "entries": [

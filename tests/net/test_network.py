@@ -3,6 +3,8 @@
 import pytest
 
 from repro.energy.meter import EnergyCategory
+from repro.eval.runner import DeploymentSpec
+from repro.session.builder import compute_delta
 from repro.sim.process import Process
 from tests.conftest import make_network
 
@@ -227,9 +229,10 @@ def test_duplicate_registration_rejected():
         network.register(sinks[0])
 
 
-def test_recommended_delta_covers_observed_latency():
+def test_compute_delta_covers_observed_flood_latency():
     sim, topology, _, network, sinks = build(n=9, k=2)
-    delta = network.recommended_delta()
+    spec = DeploymentSpec(n=9, k=2, hop_delay=network.hop_delay)
+    delta = compute_delta(spec, topology)
     network.broadcast(0, "m")
     sim.run_until_idle()
     worst = max(sink.messages[0][2] for sink in sinks.values())

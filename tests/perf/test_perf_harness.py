@@ -12,7 +12,8 @@ from repro.net.network import SimulatedNetwork
 from repro.perf.benchmarks import BenchResult, bench_event_throughput, bench_flood_fanout
 from repro.perf.counters import StageTimer, collect_cache_stats
 from repro.perf.legacy import LegacyEventQueue, legacy_mode
-from repro.perf.report import SATURATION_GATES, SPEEDUP_GATES, BenchReport
+from repro.perf.__main__ import main as perf_main
+from repro.perf.report import SATURATION_GATES, SPEEDUP_GATES, BenchReport, gate_status
 from repro.sim.events import BucketedEventQueue, EventQueue
 from repro.sim.scheduler import Simulator
 from repro.testkit.trace import TraceRecorder
@@ -53,6 +54,83 @@ def test_bench_report_rejects_mismatched_pairs():
     b = BenchResult(name="b", params={}, samples_s=[0.1], work_units=1)
     with pytest.raises(ValueError):
         report.add(a, b)
+
+
+def matrix_report(cpus, parallel, before_s, after_s):
+    report = BenchReport(name="hotpath")
+    params = {"parallel": parallel, "cpus": cpus}
+    report.add(
+        BenchResult(name="matrix_wall_clock", params=params, samples_s=[before_s], work_units=36),
+        BenchResult(name="matrix_wall_clock", params=params, samples_s=[after_s], work_units=36),
+    )
+    return report
+
+
+def test_matrix_gate_is_skipped_when_host_has_fewer_cores_than_workers():
+    # Even a 10x "speedup" is not a pass: the gate did not measure sharding.
+    verdict = matrix_report(cpus=2, parallel=4, before_s=1.0, after_s=0.1).gates_detail()[
+        "matrix_wall_clock"
+    ]
+    assert verdict["skipped"] is True
+    assert "passed" not in verdict
+    assert verdict["reason"] == (
+        "not measurable: host has 2 usable core(s), sharding gate needs >= 4"
+    )
+    assert gate_status(verdict) == "skipped"
+    assert "matrix_wall_clock" not in matrix_report(2, 4, 1.0, 0.1).gates_passed()
+
+
+def test_matrix_gate_fails_when_measured_speedup_is_below_floor():
+    floor = SPEEDUP_GATES["matrix_wall_clock"]
+    report = matrix_report(cpus=4, parallel=4, before_s=1.0, after_s=1.0 / (floor - 0.2))
+    verdict = report.gates_detail()["matrix_wall_clock"]
+    assert verdict["passed"] is False
+    assert "skipped" not in verdict
+    assert gate_status(verdict) == "failed"
+    passing = matrix_report(cpus=8, parallel=4, before_s=1.0, after_s=1.0 / (floor + 0.2))
+    assert passing.gates_detail()["matrix_wall_clock"]["passed"] is True
+
+
+def write_gates(tmp_path, gates):
+    (tmp_path / "BENCH_hotpath.json").write_text(json.dumps({"gates": gates}))
+
+
+def test_gate_check_lists_skipped_gates_and_fails_only_on_measured_misses(tmp_path, capsys):
+    write_gates(
+        tmp_path,
+        {
+            "flood_fanout": {"floor": 3.0, "passed": True},
+            "matrix_wall_clock": {"floor": 1.7, "skipped": True, "reason": "1 core"},
+        },
+    )
+    assert perf_main(["--gate-check", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "gate matrix_wall_clock: floor 1.7: SKIPPED (1 core)" in out
+    assert "1 gate(s) skipped (not measured): matrix_wall_clock" in out
+
+    write_gates(
+        tmp_path,
+        {
+            "flood_fanout": {"floor": 3.0, "passed": False},
+            "matrix_wall_clock": {"floor": 1.7, "skipped": True, "reason": "1 core"},
+        },
+    )
+    assert perf_main(["--gate-check", "--out", str(tmp_path)]) == 1
+    assert "1 gate(s) failing: flood_fanout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        {"floor": 1.7, "skipped": True},  # a skip must state its reason
+        {"floor": 1.7, "skipped": True, "reason": ""},
+        {"floor": 1.7},  # neither measured nor skipped
+        {"floor": 1.7, "passed": "yes"},
+    ],
+)
+def test_gate_check_fails_on_unreasoned_or_malformed_verdicts(tmp_path, verdict):
+    write_gates(tmp_path, {"matrix_wall_clock": verdict})
+    assert perf_main(["--gate-check", "--out", str(tmp_path)]) == 1
 
 
 # ------------------------------------------------------------- legacy mode

@@ -2,6 +2,8 @@
 
 import itertools
 
+import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.hypergraph import HyperEdge, Hypergraph
@@ -93,3 +95,58 @@ def test_partition_resistance_implies_lemma_a5_bound(graph, f):
     f = min(f, len(graph.nodes) - 2)
     if f >= 1 and graph.is_partition_resistant(f):
         assert f <= graph.max_faults_necessary_condition()
+
+
+# ------------------------------------------- diameter / connectivity vs networkx
+def reference_strongly_connected(graph, exclude=()):
+    digraph = graph.to_digraph(exclude=exclude)
+    return digraph.number_of_nodes() <= 1 or nx.is_strongly_connected(digraph)
+
+
+@st.composite
+def circulant_hypergraphs(draw):
+    """Graphs where every node k-casts to the same offsets (rotation-invariant)."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    offsets = draw(
+        st.lists(
+            st.lists(st.integers(min_value=1, max_value=n - 1), min_size=1, max_size=3, unique=True),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    edges = [
+        HyperEdge.make(node, [(node + offset) % n for offset in group])
+        for node in range(n)
+        for group in offsets
+    ]
+    return Hypergraph(nodes=list(range(n)), edges=edges)
+
+
+def assert_diameter_matches_networkx(graph):
+    if reference_strongly_connected(graph):
+        assert graph.diameter() == nx.diameter(graph.to_digraph())
+    else:
+        with pytest.raises(ValueError):
+            graph.diameter()
+
+
+@given(random_hypergraphs())
+@settings(max_examples=80, deadline=None)
+def test_diameter_matches_networkx_on_random_hypergraphs(graph):
+    assert_diameter_matches_networkx(graph)
+
+
+@given(circulant_hypergraphs())
+@settings(max_examples=80, deadline=None)
+def test_diameter_matches_networkx_on_circulant_hypergraphs(graph):
+    assert graph._is_rotation_invariant()
+    assert_diameter_matches_networkx(graph)
+
+
+@given(st.one_of(random_hypergraphs(), circulant_hypergraphs()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_strong_connectivity_with_exclusions_matches_networkx(graph, data):
+    exclude = data.draw(st.lists(st.sampled_from(graph.nodes), unique=True))
+    assert graph.is_strongly_connected(exclude=exclude) == reference_strongly_connected(
+        graph, exclude
+    )
