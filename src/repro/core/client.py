@@ -136,9 +136,13 @@ class AckRouter:
         self._clients = {client.client_id: client for client in clients}
 
     def route(self, replica: int, command: Command, height: int, block_hash: str) -> None:
-        """Deliver an acknowledgement to the issuing client (if known)."""
+        """Deliver an acknowledgement to the issuing client (if known).
+
+        Once the client has accepted the command, :meth:`Client.on_ack`
+        would discard the acknowledgement, so none is built.
+        """
         client = self._clients.get(command.client_id)
-        if client is None:
+        if client is None or command.command_id in client.accepted:
             return
         client.on_ack(
             Acknowledgement(

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.blocks import Block
 from repro.core.types import NodeId, Round, View
@@ -41,6 +40,51 @@ def set_flyweight_enabled(enabled: bool) -> None:
 def flyweight_enabled() -> bool:
     """Whether per-message memoization is currently on."""
     return _FLYWEIGHT_ENABLED
+
+
+#: Validity token of a deeply immutable payload: the memos never expire.
+#: (``True`` rather than a fresh ``object()`` so it survives pickling.)
+_IMMUTABLE_TOKEN = True
+
+_ABSENT = object()
+
+
+def _payload_token(data: Any) -> Any:
+    """The token under which memos of ``data`` may be stored, or ``None``.
+
+    * a deeply immutable payload gets :data:`_IMMUTABLE_TOKEN`;
+    * an exact ``dict`` with ``str`` keys whose every value is deeply
+      immutable gets ``tuple(data.items())`` — a snapshot of which object
+      each key is bound to, holding strong references so no ``id`` can be
+      reused behind it;
+    * anything else (lists, dicts holding lists, dict subclasses) gets
+      ``None``: it is never memoized.
+    """
+    if is_deeply_immutable(data):
+        return _IMMUTABLE_TOKEN
+    if type(data) is dict and all(
+        type(key) is str and is_deeply_immutable(value) for key, value in data.items()
+    ):
+        return tuple(data.items())
+    return None
+
+
+def _token_holds(token: Any, data: Any) -> bool:
+    """Whether a memo stored under ``token`` still describes ``data``.
+
+    A dict token holds while the dict has the same length and every key
+    is still bound to the very same (immutable) object, so any rebinding,
+    insertion or deletion since the memo was taken invalidates it.
+    """
+    if token is _IMMUTABLE_TOKEN:
+        return True
+    if len(data) != len(token):
+        return False
+    get = data.get
+    for key, value in token:
+        if get(key, _ABSENT) is not value:
+            return False
+    return True
 
 
 class _frozen_memo:
@@ -128,6 +172,27 @@ class ProtocolMessage:
         data: Arbitrary payload (block, block hash, QC, proof, ...).
         view_sig: Signature over (type, view) — ``m.viewSig``.
         data_sig: Signature over (data digest, view) — ``m.dataSig``.
+
+    Three per-message memos — :attr:`data_digest`, :attr:`wire_size_bytes`
+    and the :func:`verify_message` verdict — let the n receivers of a
+    flooded message share one serialization and one signature check.  Each
+    memo is stored beside a validity token (:func:`_payload_token`) and
+    re-checked against ``data`` on every read (:func:`_token_holds`):
+
+    * a deeply immutable payload (primitives, tuples, frozen dataclasses
+      of immutables) is memoized unconditionally;
+    * an exact ``dict`` with ``str`` keys and deeply immutable values
+      (Sync HotStuff proposals and status, the EESMR round-2 new-view
+      proposal, sync request/response) is memoized while it has the same
+      length and each key is bound to the very same object as when the
+      memo was taken;
+    * any other payload (lists, dicts holding lists, dict subclasses) is
+      never memoized.
+
+    So a payload mutated or rebound after signing is re-serialized and
+    fails verification.  With the flyweight switch off
+    (:func:`set_flyweight_enabled`) nothing is read from or written to
+    the memos.
     """
 
     msg_type: MessageType
@@ -138,42 +203,49 @@ class ProtocolMessage:
     view_sig: Optional[Signature] = None
     data_sig: Optional[Signature] = None
 
-    @cached_property
-    def _data_immutable(self) -> bool:
-        """Whether ``data`` can never change (stable per message).
+    def _memo_token(self) -> Any:
+        """The validity token to store beside a fresh memo, or ``None``.
 
-        The flyweight memos below are only sound for messages whose payload
-        is deeply immutable — a list payload mutated in place must see its
-        digest, wire size and verification verdict recomputed, exactly as
-        the seed recomputed them on every access.
+        Reuses the message's last token while it still holds, so a dict
+        payload is walked by :func:`is_deeply_immutable` once per message
+        rather than once per memo.
         """
-        return is_deeply_immutable(self.data)
+        token = self.__dict__.get("_payload_token")
+        if token is not None and _token_holds(token, self.data):
+            return token
+        token = _payload_token(self.data)
+        if token is not None:
+            self.__dict__["_payload_token"] = token
+        return token
+
+    def _memoized(self, slot: str, compute: Callable[[], Any]) -> Any:
+        """``compute()``, memoized in ``slot`` under the payload's token."""
+        if not _FLYWEIGHT_ENABLED:
+            return compute()
+        memo = self.__dict__.get(slot)
+        if memo is not None and _token_holds(memo[0], self.data):
+            return memo[1]
+        token = self._memo_token()
+        value = compute()
+        if token is not None:
+            self.__dict__[slot] = (token, value)
+        return value
 
     @property
     def data_digest(self) -> str:
         """Digest of the payload used for signing and vote matching."""
-        if _FLYWEIGHT_ENABLED:
-            cached = self.__dict__.get("_memo_data_digest")
-            if cached is not None:
-                return cached
-        digest = message_data_digest(self.data)
-        if _FLYWEIGHT_ENABLED and self._data_immutable:
-            self.__dict__["_memo_data_digest"] = digest
-        return digest
+        return self._memoized("_memo_data_digest", lambda: message_data_digest(self.data))
 
     @property
     def wire_size_bytes(self) -> int:
         """Bytes on the wire: header + payload + signatures."""
-        if _FLYWEIGHT_ENABLED:
-            cached = self.__dict__.get("_memo_wire_size")
-            if cached is not None:
-                return cached
+        return self._memoized("_memo_wire_size", self._wire_size)
+
+    def _wire_size(self) -> int:
         size = MESSAGE_HEADER_BYTES + payload_wire_size(self.data)
         for signature in (self.view_sig, self.data_sig):
             if signature is not None:
                 size += signature.size_bytes
-        if _FLYWEIGHT_ENABLED and self._data_immutable:
-            self.__dict__["_memo_wire_size"] = size
         return size
 
     def precompute(self) -> "ProtocolMessage":
@@ -220,10 +292,16 @@ def make_message(
     data: Any,
     round_number: Round = 0,
 ) -> ProtocolMessage:
-    """Create and sign a protocol message (Algorithm 1's ``Msg`` function)."""
+    """Create and sign a protocol message (Algorithm 1's ``Msg`` function).
+
+    The payload digest signed into ``data_sig`` also seeds the message's
+    digest memo, so the payload is serialized once per message.
+    """
     view_sig = scheme.sign(sender, ("view", msg_type.value, view))
-    data_sig = scheme.sign(sender, ("data", message_data_digest(data), view))
-    return ProtocolMessage(
+    token = _payload_token(data) if _FLYWEIGHT_ENABLED else None
+    digest = message_data_digest(data)
+    data_sig = scheme.sign(sender, ("data", digest, view))
+    message = ProtocolMessage(
         msg_type=msg_type,
         view=view,
         round=round_number,
@@ -231,28 +309,36 @@ def make_message(
         data=data,
         view_sig=view_sig,
         data_sig=data_sig,
-    ).precompute()
+    )
+    if token is not None:
+        message.__dict__["_payload_token"] = token
+        message.__dict__["_memo_data_digest"] = (token, digest)
+    return message.precompute()
 
 
 def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolMessage) -> bool:
     """Verify both signatures of a protocol message.
 
     The outcome is verifier-independent, so it is memoized per (message,
-    scheme): after the first replica checks a flooded message, the other
-    n-1 replicas reuse the verdict.  Their per-verifier operation counts
-    (Table 3) are still recorded via :meth:`SignatureScheme.note_verify`,
-    and verification *energy* is charged by the replica layer either way —
-    only the redundant HMAC work is skipped.
+    scheme) under the payload's validity token (see
+    :class:`ProtocolMessage`): after the first replica checks a flooded
+    message, the other n-1 replicas reuse the verdict.  Their per-verifier
+    operation counts (Table 3) are still recorded via
+    :meth:`SignatureScheme.note_verify`, and verification *energy* is
+    charged by the replica layer either way — only the redundant HMAC work
+    is skipped.
     """
     if message.view_sig is None or message.data_sig is None:
         return False
     if message.view_sig.signer != message.sender or message.data_sig.signer != message.sender:
         return False
+    token = None
     if _FLYWEIGHT_ENABLED:
         memo = message.__dict__.get("_verified_by")
-        if memo is not None and memo[0] is scheme:
+        if memo is not None and memo[0] is scheme and _token_holds(memo[1], message.data):
             scheme.note_verify(verifier, 2)
-            return memo[1]
+            return memo[2]
+        token = message._memo_token()
     view_ok = scheme.verify(
         verifier, ("view", message.msg_type.value, message.view), message.view_sig
     )
@@ -260,8 +346,8 @@ def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolM
         verifier, ("data", message.data_digest, message.view), message.data_sig
     )
     result = view_ok and data_ok
-    if _FLYWEIGHT_ENABLED and message._data_immutable:
-        message.__dict__["_verified_by"] = (scheme, result)
+    if token is not None:
+        message.__dict__["_verified_by"] = (scheme, token, result)
     return result
 
 

@@ -269,8 +269,10 @@ class BaseReplica(Process):
         data = message.data
         if not isinstance(data, dict):
             return
-        blocks = data.get("blocks") or ()
-        if not blocks or not all(isinstance(b, Block) for b in blocks):
+        blocks = data.get("blocks")
+        if not isinstance(blocks, (tuple, list)) or not blocks:
+            return
+        if not all(isinstance(b, Block) for b in blocks):
             return
         for parent, child in zip(blocks, blocks[1:]):
             if child.parent_hash != parent.block_hash or child.height != parent.height + 1:

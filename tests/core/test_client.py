@@ -68,3 +68,16 @@ def test_ack_router_ignores_unknown_client():
     router.route(replica=1, command=other_command, height=1, block_hash="x")
     assert client.stats().accepted == 0
     assert len(router.clients()) == 1
+
+
+def test_ack_router_builds_no_ack_once_the_command_is_accepted(monkeypatch):
+    client = Client(client_id=0, f=1)
+    [command] = client.create_commands(1)
+    router = AckRouter([client])
+    delivered = []
+    on_ack = client.on_ack
+    monkeypatch.setattr(client, "on_ack", lambda ack: delivered.append(ack) or on_ack(ack))
+    for replica in range(4):
+        router.route(replica=replica, command=command, height=1, block_hash="bh")
+    assert [a.replica for a in delivered] == [0, 1]
+    assert client.accepted == {command.command_id: (1, "bh")}

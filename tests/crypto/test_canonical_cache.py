@@ -2,10 +2,20 @@
 
 The cache exists to serialize each message once per run instead of once
 per hop×verifier — but it must never trade that for staleness.  The
-mutation tests here pin the contract: only *immutable* payloads (frozen
-dataclasses by identity, primitive tuples by value) are ever cached;
-mutable payloads re-serialize on every call, so a payload mutated after
-signing still fails verification.
+mutation tests here pin the contract at two levels:
+
+* :data:`canonical_cache` caches only *immutable* payloads (frozen
+  dataclasses of immutables by identity, primitive tuples by value);
+  lists, dicts and other mutable payloads re-serialize on every call.
+* :class:`~repro.core.messages.ProtocolMessage` memoizes its digest, wire
+  size and verification verdict for deeply immutable payloads, and for
+  exact ``dict`` payloads with ``str`` keys and deeply immutable values
+  under a validity check: same length, and every key still bound to the
+  very same object as when the memo was taken.  Lists, dicts holding
+  mutable values and dict subclasses are never memoized
+  (``tests/core/test_message_flyweight.py`` covers this level in full).
+
+Either way, a payload mutated after signing still fails verification.
 """
 
 import gc

@@ -163,3 +163,25 @@ def test_sync_traffic_rides_the_metered_medium():
     assert (
         session.network.stats.unicasts > baseline.network.stats.unicasts
     ), "sync round trips must show up as extra metered unicasts"
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize(
+    "blocks", [5, {"a": 1}, "blocks", None], ids=["int", "dict", "str", "none"]
+)
+def test_malformed_sync_response_is_ignored(protocol, blocks):
+    """A validly signed SYNC_RESPONSE whose ``blocks`` is not a tuple or
+    list is dropped, not iterated: a correct replica must not crash on a
+    Byzantine peer's payload."""
+    from repro.core.messages import MessageType
+
+    spec = DeploymentSpec(protocol=protocol, n=5, f=1, k=2, target_height=2, seed=3)
+    session = SessionBuilder(spec).build()
+    session.run_to_quiescence()
+    receiver, byzantine = session.replicas[1], session.replicas[2]
+    height = receiver.committed_height
+    response = byzantine.sign_message(
+        MessageType.SYNC_RESPONSE, {"blocks": blocks, "cert": None, "height": 9}
+    )
+    receiver.on_message(byzantine.pid, response)
+    assert receiver.committed_height == height
